@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.baselines import (
     CURTree,
@@ -515,6 +516,60 @@ def _as_plan_cache(
     )
 
 
+class _PlanKind(NamedTuple):
+    """How the executor runs one cacheable plan type (see ``_PLAN_KINDS``).
+
+    Index and workload-log entry points are method *names*, each a
+    ``(single, batch)`` pair, looked up on the instance at call time so
+    subclass overrides and instrumented methods keep dispatching.  The
+    plan-cache key is ``(tag, *subject.as_tuple(), *args, count_only,
+    limit)``.
+    """
+
+    tag: str
+    #: plan -> its own argument to every entry point (rect or center).
+    subject: Callable
+    #: plan -> the index arguments after the subject.  A batch runs
+    #: through the batch entry points only when these agree across it.
+    args: Callable
+    #: index arguments -> the recorder's arguments (``None``: not recorded).
+    log_args: Callable
+    run: Tuple[str, str]
+    record: Tuple[str, str]
+    #: Native count entry points (``None``: count the run's result sets).
+    #: Their recorder takes the counts, so it runs after the index call.
+    count: Optional[Tuple[str, str]] = None
+
+
+_PLAN_KINDS = {
+    RangeQuery: _PlanKind(
+        "range", attrgetter("rect"), lambda plan: (), lambda args: (),
+        run=("range_query", "batch_range_query"),
+        record=("record_range", "record_ranges"),
+        count=("range_count", "batch_range_count"),
+    ),
+    KnnQuery: _PlanKind(
+        "knn", attrgetter("center"), lambda plan: (plan.k, plan.initial_radius),
+        lambda args: args[:1] if args[0] > 0 else None,
+        run=("knn", "batch_knn"),
+        record=("record_knn", "record_knns"),
+    ),
+    RadiusQuery: _PlanKind(
+        "radius", attrgetter("center"), lambda plan: (plan.radius,), lambda args: args,
+        run=("radius_query", "batch_radius_query"),
+        record=("record_radius", "record_radii"),
+    ),
+}
+
+
+def _call(target, names: Tuple[str, str], batch: bool, subjects, args) -> List:
+    """Call ``target``'s single (``names[0]``) or batch (``names[1]``)
+    entry point on ``subjects``; the answers come back as a list."""
+    if batch:
+        return getattr(target, names[1])(subjects, *args)
+    return [getattr(target, names[0])(subjects[0], *args)]
+
+
 class SpatialEngine:
     """Facade owning one index's lifecycle and executing query plans on it.
 
@@ -769,26 +824,6 @@ class SpatialEngine:
         else:
             self.metrics = EngineMetrics(registry)
         return self.metrics
-
-    def _cache_mark(self) -> Optional[tuple]:
-        """The plan cache's (hits, misses) totals, or None without a cache."""
-        if self.plan_cache is None:
-            return None
-        stats = self.plan_cache.stats
-        return (stats.hits, stats.misses)
-
-    def _observe(
-        self, kind: str, seconds: float, count: int,
-        counters_before: Dict, cache_mark: Optional[tuple],
-    ) -> None:
-        cache_delta = None
-        if cache_mark is not None:
-            stats = self.plan_cache.stats
-            cache_delta = (stats.hits - cache_mark[0], stats.misses - cache_mark[1])
-        self.metrics.observe_query(
-            kind, seconds, count,
-            counters_before, vars(self.index.counters), cache_delta,
-        )
 
     # ------------------------------------------------------------------
     # observe
@@ -1105,92 +1140,8 @@ class SpatialEngine:
         ``count_only=True`` every plan returns an ``int`` instead, computed
         without materialising results wherever the index allows it.
         """
-        if self.metrics is None:
-            return self._execute(query, count_only=count_only, limit=limit)
-        counters_before = vars(self.index.counters).copy()
-        cache_mark = self._cache_mark()
-        start = time.perf_counter()
-        result = self._execute(query, count_only=count_only, limit=limit)
-        self._observe(
-            plan_kind(query), time.perf_counter() - start, 1,
-            counters_before, cache_mark,
-        )
-        return result
-
-    def _execute(
-        self, query: Query, *, count_only: bool = False, limit: Optional[int] = None
-    ):
         self._check_limit(limit)
-        recording = self._recording
-        cache = self.plan_cache
-        if isinstance(query, RangeQuery):
-            rect = query.rect
-            if count_only:
-                # Cached values are always *uncapped* counts — the cap is
-                # applied per call, so one entry serves every ``limit`` of
-                # its key and recording sees the true count, like a miss.
-                count = MISS
-                if cache is not None:
-                    key = ("range", rect.xmin, rect.ymin, rect.xmax, rect.ymax,
-                           True, limit)
-                    count = cache.lookup(key, self.index)
-                if count is MISS:
-                    count = self.index.range_count(rect)
-                    if cache is not None:
-                        cache.store(key, self.index, count)
-                if recording:
-                    self.workload_log.record_range(rect, count)
-                return self._capped(count, limit)
-            if recording:
-                self.workload_log.record_range(rect)
-            result = MISS
-            if cache is not None:
-                key = ("range", rect.xmin, rect.ymin, rect.xmax, rect.ymax,
-                       False, limit)
-                result = cache.lookup(key, self.index)
-            if result is MISS:
-                result = self._truncated(self.index.range_query(rect), limit)
-                if cache is not None:
-                    cache.store(key, self.index, result)
-            return result
-        if isinstance(query, PointQuery):
-            found = self.index.point_query(query.point)
-            return int(found) if count_only else found
-        if isinstance(query, KnnQuery):
-            if recording and query.k > 0:
-                self.workload_log.record_knn(query.center, query.k)
-            value = MISS
-            if cache is not None:
-                key = ("knn", query.center.x, query.center.y, query.k,
-                       query.initial_radius, count_only, limit)
-                value = cache.lookup(key, self.index)
-            if value is MISS:
-                result = self.index.knn(query.center, query.k, query.initial_radius)
-                value = result.count() if count_only else self._truncated(result, limit)
-                if cache is not None:
-                    cache.store(key, self.index, value)
-            if count_only:
-                return self._capped(value, limit)
-            return value
-        if isinstance(query, RadiusQuery):
-            if recording:
-                self.workload_log.record_radius(query.center, query.radius)
-            value = MISS
-            if cache is not None:
-                key = ("radius", query.center.x, query.center.y, query.radius,
-                       count_only, limit)
-                value = cache.lookup(key, self.index)
-            if value is MISS:
-                result = self.index.radius_query(query.center, query.radius)
-                value = result.count() if count_only else self._truncated(result, limit)
-                if cache is not None:
-                    cache.store(key, self.index, value)
-            if count_only:
-                return self._capped(value, limit)
-            return value
-        if isinstance(query, JoinQuery):
-            return self._execute_join(query, count_only=count_only, limit=limit)
-        raise TypeError(f"Unknown query plan type {type(query).__name__}")
+        return self._metered([query], count_only, limit, False)[0]
 
     def execute_many(
         self,
@@ -1209,157 +1160,104 @@ class SpatialEngine:
         optimises.  Anything else falls back to one :meth:`execute` per
         plan.  Results come back in workload order either way.
         """
-        if self.metrics is None:
-            return self._execute_many(queries, count_only=count_only, limit=limit)
-        queries = list(queries)
-        if not queries:
-            return []
-        first_type = type(queries[0])
-        if any(type(q) is not first_type for q in queries):
-            # Mixed plans: instrument per plan so the kind labels stay exact.
-            return [
-                self.execute(query, count_only=count_only, limit=limit)
-                for query in queries
-            ]
-        counters_before = vars(self.index.counters).copy()
-        cache_mark = self._cache_mark()
-        start = time.perf_counter()
-        results = self._execute_many(queries, count_only=count_only, limit=limit)
-        self._observe(
-            plan_kind(queries[0]), time.perf_counter() - start, len(queries),
-            counters_before, cache_mark,
-        )
-        return results
-
-    def _execute_many(
-        self,
-        queries: Sequence[Query],
-        *,
-        count_only: bool = False,
-        limit: Optional[int] = None,
-    ) -> List:
         self._check_limit(limit)
         queries = list(queries)
         if not queries:
             return []
+        first_type = type(queries[0])
+        if self.metrics is not None and any(type(q) is not first_type for q in queries):
+            # Mixed plans: instrument per plan so the kind labels stay exact.
+            return [self.execute(q, count_only=count_only, limit=limit) for q in queries]
+        return self._metered(queries, count_only, limit, True)
+
+    def _metered(self, plans, count_only, limit, batch) -> List:
+        """:meth:`_run`, observed by the metrics sink (when attached) as one
+        call of ``len(plans)`` plans: latency, scan-counter and plan-cache
+        hit/miss deltas."""
+        metrics = self.metrics
+        if metrics is None:
+            return self._run(plans, count_only, limit, batch)
+        stats = None if self.plan_cache is None else self.plan_cache.stats
+        hits, misses = (0, 0) if stats is None else (stats.hits, stats.misses)
+        counters_before = vars(self.index.counters).copy()
+        start = time.perf_counter()
+        values = self._run(plans, count_only, limit, batch)
+        seconds = time.perf_counter() - start
+        cache_delta = None if stats is None else (stats.hits - hits, stats.misses - misses)
+        metrics.observe_query(
+            plan_kind(plans[0]), seconds, len(plans),
+            counters_before, vars(self.index.counters), cache_delta,
+        )
+        return values
+
+    def _run(self, plans, count_only, limit, batch) -> List:
+        """The answers to ``plans`` (a single plan unless ``batch``), as a list.
+
+        A batch of one cacheable plan type whose plans share their index
+        arguments runs through the batch entry points; any other batch runs
+        plan by plan.
+        """
+        first = plans[0]
+        kind = _PLAN_KINDS.get(type(first))
+        if kind is not None:
+            args = kind.args(first)
+            if not batch or all(type(p) is type(first) and kind.args(p) == args for p in plans):
+                subjects = list(map(kind.subject, plans)) if batch else [kind.subject(first)]
+                return self._execute_plans(
+                    kind, subjects, args, count_only, limit, batch, self.plan_cache
+                )
+        if batch:
+            return [self._run([plan], count_only, limit, False)[0] for plan in plans]
+        if isinstance(first, PointQuery):
+            found = self.index.point_query(first.point)
+            return [int(found) if count_only else found]
+        if isinstance(first, JoinQuery):
+            return [self._execute_join(first, count_only=count_only, limit=limit)]
+        raise TypeError(f"Unknown query plan type {type(first).__name__}")
+
+    def _execute_plans(self, kind, subjects, args, count_only, limit, batch, cache) -> List:
+        """The one executor of range / kNN / radius plans (see :class:`_PlanKind`).
+
+        Looks every plan up in ``cache``, runs only the misses through the
+        index, stores them, records the plans and caps counts at
+        ``limit``.  A single plan runs through the single-query entry
+        point: a batch of one costs 30–40% more at the index.  Cached values
+        are uncapped counts under ``count_only`` — one entry serves every
+        ``limit`` of its key, and recording sees the true count, like a
+        miss — and ``limit``-truncated result sets otherwise.  Every key
+        is looked up before any miss is stored, so a key repeated within
+        one batch counts as two misses.
+        """
         index = self.index
-        recording = self._recording
-        cache = self.plan_cache
-        if all(type(q) is RangeQuery for q in queries):
-            rects = [q.rect for q in queries]
-            if count_only:
-                if cache is None:
-                    counts = list(index.batch_range_count(rects))
-                else:
-                    # Serve exact repeats from the cache and run only the
-                    # misses through the batch kernel, merging back in
-                    # workload order.  Counters and recording see true
-                    # (uncapped) counts for hits and misses alike.
-                    keys = [
-                        ("range", r.xmin, r.ymin, r.xmax, r.ymax, True, limit)
-                        for r in rects
-                    ]
-                    counts = [cache.lookup(key, index) for key in keys]
-                    missing = [i for i, c in enumerate(counts) if c is MISS]
-                    if missing:
-                        fresh = index.batch_range_count([rects[i] for i in missing])
-                        for i, count in zip(missing, fresh):
-                            cache.store(keys[i], index, count)
-                            counts[i] = count
-                if recording:
-                    self.workload_log.record_ranges(rects, counts)
-                return [self._capped(c, limit) for c in counts]
-            if recording:
-                # One vectorised block append for the whole batch — the
-                # recording cost the production path actually pays.
-                self.workload_log.record_ranges(rects)
+        counted = count_only and kind.count is not None
+        log_args = kind.log_args(args) if self._recording else None
+        if log_args is not None and not counted:
+            _call(self.workload_log, kind.record, batch, subjects, log_args)
+        if cache is not None:
+            keys = [(kind.tag, *s.as_tuple(), *args, count_only, limit) for s in subjects]
+            values = [cache.lookup(key, index) for key in keys]
+            missing = [i for i, value in enumerate(values) if value is MISS]
+        if cache is None or missing:
+            fresh = _call(
+                index, kind.count if counted else kind.run, batch,
+                subjects if cache is None else [subjects[i] for i in missing], args,
+            )
+            if count_only and not counted:
+                fresh = [result.count() for result in fresh]
+            elif not count_only and limit is not None:
+                fresh = [result.head(limit) for result in fresh]
             if cache is None:
-                return [
-                    self._truncated(r, limit) for r in index.batch_range_query(rects)
-                ]
-            keys = [
-                ("range", r.xmin, r.ymin, r.xmax, r.ymax, False, limit)
-                for r in rects
-            ]
-            results = [cache.lookup(key, index) for key in keys]
-            missing = [i for i, r in enumerate(results) if r is MISS]
-            if missing:
-                fresh = index.batch_range_query([rects[i] for i in missing])
-                for i, result in zip(missing, fresh):
-                    truncated = self._truncated(result, limit)
-                    cache.store(keys[i], index, truncated)
-                    results[i] = truncated
-            return results
-        if all(type(q) is KnnQuery for q in queries):
-            first = queries[0]
-            if all(
-                q.k == first.k and q.initial_radius == first.initial_radius
-                for q in queries
-            ):
-                centers = [q.center for q in queries]
-                if recording and first.k > 0:
-                    self.workload_log.record_knns(centers, first.k)
-                if cache is None:
-                    results = index.batch_knn(centers, first.k, first.initial_radius)
-                    if count_only:
-                        return [self._capped(r.count(), limit) for r in results]
-                    return [self._truncated(r, limit) for r in results]
-                keys = [
-                    ("knn", c.x, c.y, first.k, first.initial_radius,
-                     count_only, limit)
-                    for c in centers
-                ]
-                values = [cache.lookup(key, index) for key in keys]
-                missing = [i for i, v in enumerate(values) if v is MISS]
-                if missing:
-                    fresh = index.batch_knn(
-                        [centers[i] for i in missing], first.k, first.initial_radius
-                    )
-                    for i, result in zip(missing, fresh):
-                        value = (
-                            result.count() if count_only
-                            else self._truncated(result, limit)
-                        )
-                        cache.store(keys[i], index, value)
-                        values[i] = value
-                if count_only:
-                    return [self._capped(v, limit) for v in values]
-                return values
-        if all(type(q) is RadiusQuery for q in queries):
-            first = queries[0]
-            if all(q.radius == first.radius for q in queries):
-                centers = [q.center for q in queries]
-                if recording:
-                    self.workload_log.record_radii(centers, first.radius)
-                if cache is None:
-                    results = index.batch_radius_query(centers, first.radius)
-                    if count_only:
-                        return [self._capped(r.count(), limit) for r in results]
-                    return [self._truncated(r, limit) for r in results]
-                keys = [
-                    ("radius", c.x, c.y, first.radius, count_only, limit)
-                    for c in centers
-                ]
-                values = [cache.lookup(key, index) for key in keys]
-                missing = [i for i, v in enumerate(values) if v is MISS]
-                if missing:
-                    fresh = index.batch_radius_query(
-                        [centers[i] for i in missing], first.radius
-                    )
-                    for i, result in zip(missing, fresh):
-                        value = (
-                            result.count() if count_only
-                            else self._truncated(result, limit)
-                        )
-                        cache.store(keys[i], index, value)
-                        values[i] = value
-                if count_only:
-                    return [self._capped(v, limit) for v in values]
-                return values
-        return [
-            self._execute(query, count_only=count_only, limit=limit)
-            for query in queries
-        ]
+                values = fresh
+            else:
+                for i, value in zip(missing, fresh):
+                    cache.store(keys[i], index, value)
+                    values[i] = value
+        if log_args is not None and counted:
+            counts = values if batch else values[0]
+            _call(self.workload_log, kind.record, batch, subjects, log_args + (counts,))
+        if count_only and limit is not None:
+            return [min(value, limit) for value in values]
+        return values
 
     def _execute_join(
         self, query: JoinQuery, *, count_only: bool, limit: Optional[int]
@@ -1380,7 +1278,8 @@ class SpatialEngine:
                 ]
             else:
                 counts = [r.count() for r in index.batch_knn(query.probes, query.k)]
-            return self._capped(sum(counts), limit)
+            total = sum(counts)
+            return total if limit is None else min(total, limit)
         if query.kind == "box":
             pairs = joins.box_join(
                 index, query.probes, query.half_width, query.half_height
@@ -1407,14 +1306,6 @@ class SpatialEngine:
     def _check_limit(limit: Optional[int]) -> None:
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")
-
-    @staticmethod
-    def _capped(count: int, limit: Optional[int]) -> int:
-        return count if limit is None else min(count, limit)
-
-    @staticmethod
-    def _truncated(result: ResultSet, limit: Optional[int]) -> ResultSet:
-        return result if limit is None else result.head(limit)
 
     # ------------------------------------------------------------------
     # index protocol delegation
@@ -1454,54 +1345,43 @@ class SpatialEngine:
     def delete(self, point: Point) -> bool:
         return self.index.delete(point)
 
+    def _delegate(self, plan_type, subjects, args, *, batch=False, count_only=False):
+        """Run an index entry point directly, bypassing the plan cache but
+        recorded like an executed plan."""
+        return self._execute_plans(
+            _PLAN_KINDS[plan_type], subjects, args, count_only, None, batch, None
+        )
+
     def range_query(self, query: Rect) -> ResultSet:
-        if self._recording:
-            self.workload_log.record_range(query)
-        return self.index.range_query(query)
+        return self._delegate(RangeQuery, [query], ())[0]
 
     def batch_range_query(self, queries: Sequence[Rect]) -> List[ResultSet]:
-        if self._recording:
-            self.workload_log.record_ranges(queries)
-        return self.index.batch_range_query(queries)
+        return self._delegate(RangeQuery, queries, (), batch=True)
 
     def range_count(self, query: Rect) -> int:
-        count = self.index.range_count(query)
-        if self._recording:
-            self.workload_log.record_range(query, count)
-        return count
+        return self._delegate(RangeQuery, [query], (), count_only=True)[0]
 
     def batch_range_count(self, queries: Sequence[Rect]) -> List[int]:
-        counts = self.index.batch_range_count(queries)
-        if self._recording:
-            self.workload_log.record_ranges(queries, counts)
-        return counts
+        return self._delegate(RangeQuery, queries, (), batch=True, count_only=True)
 
     def point_query(self, point: Point) -> bool:
         return self.index.point_query(point)
 
     def knn(self, center: Point, k: int, initial_radius: Optional[float] = None) -> ResultSet:
-        if self._recording and k > 0:
-            self.workload_log.record_knn(center, k)
-        return self.index.knn(center, k, initial_radius)
+        return self._delegate(KnnQuery, [center], (k, initial_radius))[0]
 
     def batch_knn(
         self, centers: Sequence[Point], k: int, initial_radius: Optional[float] = None
     ) -> List[ResultSet]:
-        if self._recording and k > 0:
-            self.workload_log.record_knns(centers, k)
-        return self.index.batch_knn(centers, k, initial_radius)
+        return self._delegate(KnnQuery, centers, (k, initial_radius), batch=True)
 
     def radius_query(self, center: Point, radius: float) -> ResultSet:
-        if self._recording:
-            self.workload_log.record_radius(center, radius)
-        return self.index.radius_query(center, radius)
+        return self._delegate(RadiusQuery, [center], (radius,))[0]
 
     def batch_radius_query(
         self, centers: Sequence[Point], radius: float
     ) -> List[ResultSet]:
-        if self._recording:
-            self.workload_log.record_radii(centers, radius)
-        return self.index.batch_radius_query(centers, radius)
+        return self._delegate(RadiusQuery, centers, (radius,), batch=True)
 
     def __repr__(self) -> str:
         return f"SpatialEngine({self.name}, {len(self)} points)"

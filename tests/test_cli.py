@@ -146,6 +146,7 @@ class TestServeSubprocess:
         yield url
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
 
     def test_healthz(self, server):
         with urllib.request.urlopen(server + "/healthz") as response:
@@ -208,6 +209,7 @@ class TestServeOnlineSubprocess:
         yield url
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
 
     @staticmethod
     def _post(url, path, payload):

@@ -31,6 +31,7 @@ from repro.engine import SpatialEngine, as_engine
 from repro.geometry import Point, Rect
 from repro.interfaces import brute_force_range
 from repro.joins import box_join, knn_join, radius_join
+from repro.obs import MetricsRegistry
 from repro.query import JoinQuery, KnnQuery, PointQuery, RadiusQuery, RangeQuery
 from repro.results import ResultSet
 from repro.zindex import ZIndex
@@ -199,6 +200,43 @@ class TestExecuteMany:
 
     def test_empty_workload(self, engine):
         assert engine.execute_many([]) == []
+
+    @pytest.mark.parametrize("metered", [False, True])
+    def test_negative_limit_rejected_for_empty_workload(self, engine, metered):
+        if metered:
+            engine.attach_metrics(MetricsRegistry())
+        with pytest.raises(ValueError):
+            engine.execute_many([], limit=-1)
+
+    @pytest.mark.parametrize("limit", [None, 0, 3])
+    @pytest.mark.parametrize("count_only", [False, True])
+    @pytest.mark.parametrize("kind", ["range", "knn", "radius", "point"])
+    def test_batch_matches_per_plan_execution(self, kind, count_only, limit,
+                                              uniform_points, sample_queries):
+        """``execute_many(plans)`` is indistinguishable from one ``execute``
+        per plan: same answers, same scan counters, same workload log."""
+        plans = {
+            "range": [RangeQuery(q) for q in sample_queries[:8]],
+            "knn": [KnnQuery(c, 5) for c in uniform_points[:8]],
+            "radius": [RadiusQuery(c, 0.08) for c in uniform_points[:8]],
+            "point": [PointQuery(p) for p in uniform_points[:6]]
+            + [PointQuery(Point(-1.0, -1.0))],
+        }[kind]
+        batched, single = (
+            SpatialEngine.build("wazi", uniform_points, sample_queries,
+                                leaf_capacity=16, seed=7, record=True)
+            for _ in range(2)
+        )
+        got = batched.execute_many(plans, count_only=count_only, limit=limit)
+        want = [single.execute(p, count_only=count_only, limit=limit) for p in plans]
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert batched.counters.snapshot() == single.counters.snapshot()
+        got_log, want_log = batched.workload_log, single.workload_log
+        for view in ("range_rects", "range_counts", "range_seqs",
+                     "knn_probes", "radius_probes"):
+            assert getattr(got_log, view).tobytes() == getattr(want_log, view).tobytes()
+        assert got_log.next_seq == want_log.next_seq
 
 
 class TestZeroBoxing:

@@ -172,6 +172,15 @@ def build_pair(points):
     return cached, plain
 
 
+def batch_plans(kind, rect_pool, center_pool):
+    """A homogeneous plan list of ``kind``, one plan per pool entry."""
+    if kind == "range":
+        return [RangeQuery(r) for r in rect_pool]
+    if kind == "knn":
+        return [KnnQuery(c, 4) for c in center_pool]
+    return [RadiusQuery(c, 0.08) for c in center_pool]
+
+
 def observable(value):
     """A comparable projection of whatever execute() returned."""
     if isinstance(value, (int, bool)):
@@ -242,16 +251,20 @@ class TestEngineNeverServesStale:
                 cached.adapt(workload, tune_leaf_capacity=False)
                 plain.adapt(workload, tune_leaf_capacity=False)
 
-    def test_execute_many_hit_miss_merge_preserves_order(self, cached_pair_scenario):
-        points, rect_pool, _ = cached_pair_scenario
+    @pytest.mark.parametrize("limit", [None, 3])
+    @pytest.mark.parametrize("kind", ["range", "knn", "radius"])
+    def test_execute_many_hit_miss_merge_preserves_order(self, cached_pair_scenario,
+                                                         kind, limit):
+        points, rect_pool, center_pool = cached_pair_scenario
         cached, plain = build_pair(points)
-        plans = [RangeQuery(r) for r in rect_pool[:8]]
+        plans = batch_plans(kind, rect_pool, center_pool)[:8]
         # Pre-warm an arbitrary subset so the batch mixes hits and misses.
         for plan in plans[::2]:
-            cached.execute(plan)
+            cached.execute(plan, limit=limit)
+            cached.execute(plan, count_only=True, limit=limit)
         for count_only in (False, True):
-            got = cached.execute_many(plans, count_only=count_only)
-            want = plain.execute_many(plans, count_only=count_only)
+            got = cached.execute_many(plans, count_only=count_only, limit=limit)
+            want = plain.execute_many(plans, count_only=count_only, limit=limit)
             assert [observable(v) for v in got] == [observable(v) for v in want]
 
     def test_mutation_between_batches_invalidates(self, cached_pair_scenario):
@@ -336,19 +349,35 @@ class TestHitAccounting:
         assert stats.lookups == 10
         assert stats.hit_rate == pytest.approx(0.5)
 
-    def test_exact_hit_and_miss_counts_batches(self, cached_pair_scenario):
+    @pytest.mark.parametrize("kind", ["range", "knn"])
+    def test_exact_hit_and_miss_counts_batches(self, cached_pair_scenario, kind):
         points, rect_pool, _ = cached_pair_scenario
         cached, _ = build_pair(points)
         stats = cached.plan_cache.stats
-        plans = [RangeQuery(r) for r in rect_pool[:6]]
+        pool = batch_plans(kind, rect_pool, [Point(p.x, p.y) for p in points[::40]])
+        plans = pool[:6]
         cached.execute_many(plans, count_only=True)
         assert (stats.hits, stats.misses) == (0, 6)
         cached.execute_many(plans, count_only=True)
         assert (stats.hits, stats.misses) == (6, 6)
         # A half-overlapping batch: 3 hits, 3 misses.
-        shifted = plans[3:] + [RangeQuery(r) for r in rect_pool[6:9]]
+        shifted = plans[3:] + pool[6:9]
         cached.execute_many(shifted, count_only=True)
         assert (stats.hits, stats.misses) == (9, 9)
+
+    @pytest.mark.parametrize("kind", ["range", "knn", "radius"])
+    def test_repeated_key_within_one_batch_counts_two_misses(self, cached_pair_scenario,
+                                                            kind):
+        points, rect_pool, center_pool = cached_pair_scenario
+        cached, plain = build_pair(points)
+        stats = cached.plan_cache.stats
+        plan = batch_plans(kind, rect_pool, center_pool)[0]
+        # Every key is looked up before any miss is stored.
+        got = cached.execute_many([plan, plan], count_only=True)
+        assert (stats.hits, stats.misses) == (0, 2)
+        assert got == plain.execute_many([plan, plan], count_only=True)
+        cached.execute_many([plan, plan], count_only=True)
+        assert (stats.hits, stats.misses) == (2, 2)
 
     def test_eviction_pressure_counted(self, cached_pair_scenario):
         points, rect_pool, _ = cached_pair_scenario
