@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 from pathlib import Path
@@ -110,6 +111,10 @@ def _open_backend(path: Path, *, shards: int, workers: int, mmap: bool,
     return SpatialEngine.load(path, record=record, mmap=mmap, plan_cache=cache)
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def cmd_serve(args) -> int:
     from repro.service import ServiceServer, SpatialService
 
@@ -136,18 +141,23 @@ def cmd_serve(args) -> int:
         )
         engine.online(policy)
     server = ServiceServer(service, host=args.host, port=args.port)
-    if not args.quiet:
-        mode = " online" if args.online else ""
-        print(f"serving{mode} {engine.name} ({len(engine):,} points) at {server.url}",
-              file=sys.stderr)
-    print(json.dumps({
-        "event": "ready", "url": server.url, "online": bool(args.online),
-    }, sort_keys=True), flush=True)
+    # SIGTERM's default action ends the process without unwinding, which
+    # skips the ``finally`` below and orphans a sharded backend's worker
+    # processes; route it into the KeyboardInterrupt path instead.
+    previous_sigterm = signal.signal(signal.SIGTERM, _interrupt)
     try:
+        if not args.quiet:
+            mode = " online" if args.online else ""
+            print(f"serving{mode} {engine.name} ({len(engine):,} points) at {server.url}",
+                  file=sys.stderr)
+        print(json.dumps({
+            "event": "ready", "url": server.url, "online": bool(args.online),
+        }, sort_keys=True), flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous_sigterm)
         server.close()
         if args.online:
             engine.offline()

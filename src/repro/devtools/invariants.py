@@ -10,6 +10,8 @@ invariant               what it asserts
 ======================  ====================================================
 leaf-starts-monotone    ``leaf_starts`` is a 0-based, non-decreasing prefix
                         array with one slot per leaf plus the total
+point-count             the O(1) maintained ``len(index)`` equals the
+                        freshly gathered ``leaf_starts[-1]``
 leaf-nonempty-consistent ``leaf_nonempty[i]`` equals ``starts[i+1] > starts[i]``
 leaf-boxes-tight        a non-empty leaf's stored box equals the exact
                         min/max of its coordinate slice (empty: its cell)
@@ -153,6 +155,14 @@ def check_index_invariants(index: Any) -> None:
             "leaf-starts-monotone",
             f"leaf_starts totals {int(starts[-1])} rows but the flat columns "
             f"hold {flat_x.shape[0]}",
+        )
+
+    # -- point-count ---------------------------------------------------------
+    if len(index) != int(starts[-1]):
+        raise InvariantViolation(
+            "point-count",
+            f"len(index) reports {len(index)} points but the pages hold "
+            f"{int(starts[-1])}; a mutation skipped the count update",
         )
 
     packed = leaflist.packed()

@@ -259,7 +259,7 @@ def incremental_adapt(
             seconds=time.perf_counter() - start,
         )
     costs = leaf_scan_costs(index, rects)
-    total_points = max(1, index.leaflist.num_points)
+    total_points = max(1, len(index))
     tree_density = float(costs.sum()) / total_points
 
     def density(ref: SubtreeRef) -> float:

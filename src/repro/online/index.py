@@ -43,7 +43,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry import Point, Rect
-from repro.interfaces import SpatialIndex
+from repro.interfaces import SpatialIndex, require_finite_center
 from repro.online.delta import DeltaBuffer, DeltaView
 from repro.results import ResultSet
 from repro.zindex.base import ZIndex
@@ -334,9 +334,7 @@ class OnlineIndex(SpatialIndex):
             state = self._state
             if self._quiet(state):
                 return state.base.knn(center, k, initial_radius)
-            # The generic expanding-window kNN runs on *merged* range
-            # queries, so delta inserts and tombstones participate exactly.
-            return SpatialIndex.knn(self, center, k, initial_radius)
+            return self._merged_knn(center, k, initial_radius)
 
     def batch_knn(
         self, centers: Sequence[Point], k: int, initial_radius: Optional[float] = None
@@ -345,7 +343,45 @@ class OnlineIndex(SpatialIndex):
             state = self._state
             if self._quiet(state):
                 return state.base.batch_knn(centers, k, initial_radius)
-            return [self.knn(center, k, initial_radius) for center in centers]
+            return [self._merged_knn(center, k, initial_radius) for center in centers]
+
+    def _merged_knn(
+        self, center: Point, k: int, initial_radius: Optional[float]
+    ) -> ResultSet:
+        """:meth:`SpatialIndex.knn`'s expanding windows, on merged columns.
+
+        Each window is a *merged* range query, so delta inserts and
+        tombstones participate exactly.  The windows, the counters and the
+        neighbours (ties in merged-row order) are those of the scalar
+        decomposition, but candidates stay coordinate columns: squared
+        distances use ``Point.distance_squared``'s ``dx*dx + dy*dy`` and a
+        stable ``argsort`` stands in for the Python sort of boxed points.
+        """
+        require_finite_center(center)
+        if k <= 0:
+            return ResultSet.empty()
+        total = len(self)
+        if total == 0:
+            return ResultSet.empty()
+        k = min(k, total)
+        radius = initial_radius if initial_radius and initial_radius > 0 else self._default_radius()
+        extent = self.extent()
+        cx, cy = center.x, center.y
+        while True:
+            window = Rect(cx - radius, cy - radius, cx + radius, cy + radius)
+            covers = extent is None or window.contains_rect(extent)
+            candidates = self.range_query(window)
+            if candidates.count() >= k or covers:
+                xs, ys = candidates.as_arrays()
+                dx = xs - cx
+                dy = ys - cy
+                d2 = dx * dx + dy * dy
+                order = np.argsort(d2, kind="stable")
+                within = int(np.searchsorted(d2[order], radius * radius, side="right"))
+                if within >= k or covers:
+                    chosen = order[:k]
+                    return ResultSet.from_arrays(xs[chosen], ys[chosen])
+            radius *= 2.0
 
     def radius_query(self, center: Point, radius: float) -> ResultSet:
         return self.batch_radius_query((center,), radius)[0]

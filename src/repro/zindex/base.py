@@ -189,12 +189,19 @@ class ZIndex(SpatialIndex):
     def _points(self, value: List[Point]) -> None:
         self._points_list = value
 
+    # The number of indexed points, kept current by every mutation so
+    # len() is O(1) (kNN reads it per probe).  The class-level default
+    # covers raw pickles from before the attribute existed: their first
+    # len() recounts from the pages once.
+    _num_points: Optional[int] = None
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
         self._invalidate_flat()
         self._has_nonmonotone_ordering = False
+        self._num_points = len(self._points)
         if not self._points:
             self.root = None
             self.leaflist = LeafList()
@@ -635,7 +642,8 @@ class ZIndex(SpatialIndex):
         stable ``argsort`` instead of a Python sort of ``Point`` objects.
         """
         require_finite_center(center)
-        if k <= 0 or self.root is None or len(self) == 0:
+        total = len(self)
+        if k <= 0 or self.root is None or total == 0:
             return ResultSet.empty()
         if self._flat_starts is None and self._stale_scan_budget > 0:
             # Recently mutated: fall back to the scalar decomposition, whose
@@ -645,7 +653,7 @@ class ZIndex(SpatialIndex):
             return SpatialIndex.knn(self, center, k, initial_radius)
         self._prime_query_caches()
         radius = initial_radius if initial_radius and initial_radius > 0 else self._default_radius()
-        return self._knn_columnar(center, min(k, len(self)), radius)
+        return self._knn_columnar(center, min(k, total), radius)
 
     def batch_knn(
         self, centers: Sequence[Point], k: int, initial_radius: Optional[float] = None
@@ -659,12 +667,13 @@ class ZIndex(SpatialIndex):
         """
         for center in centers:
             require_finite_center(center)
-        if k <= 0 or self.root is None or len(self) == 0:
+        total = len(self)
+        if k <= 0 or self.root is None or total == 0:
             return [ResultSet.empty() for _ in centers]
         self._prime_query_caches()
         radius = initial_radius if initial_radius and initial_radius > 0 else self._default_radius()
         kernel = self._knn_columnar
-        capped = min(k, len(self))
+        capped = min(k, total)
         return [kernel(center, capped, radius) for center in centers]
 
     def batch_radius_query(
@@ -1014,6 +1023,7 @@ class ZIndex(SpatialIndex):
             self._build()
             return
         self._points.append(point)
+        self._num_points = len(self) + 1
         if self._extent is not None:
             self._extent = self._extent.expand_to_point(point)
         leaf, parent, quadrant = self._descend_with_parent(point.x, point.y)
@@ -1156,12 +1166,18 @@ class ZIndex(SpatialIndex):
             return False
         entry = self.leaflist[leaf.leaf_index]
         bbox_before = entry.page.bbox_tuple()
+        count = len(self)
         removed = entry.page.remove(point)
         if removed:
-            try:
-                self._points.remove(point)
-            except ValueError:
-                pass
+            self._num_points = count - 1
+            # An unmaterialised list already reflects the removal when it is
+            # next built from the pages; removing through the property would
+            # materialise it post-removal and drop a second duplicate.
+            if self._points_list is not None:
+                try:
+                    self._points_list.remove(point)
+                except ValueError:
+                    pass
             self.leaflist.refresh_entry(leaf.leaf_index)
             if self.use_skipping and entry.page.bbox_tuple() != bbox_before:
                 refresh_lookahead_for_leaf(self.leaflist, leaf.leaf_index)
@@ -1217,7 +1233,10 @@ class ZIndex(SpatialIndex):
     # introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self.leaflist.num_points
+        count = self._num_points
+        if count is None:
+            count = self._num_points = self.leaflist.num_points
+        return count
 
     def extent(self) -> Optional[Rect]:
         return self._extent
@@ -1483,6 +1502,7 @@ class ZIndex(SpatialIndex):
         index._stale_scan_budget = 0
         index._flat_generation = 0
         index._points_list = None
+        index._num_points = total
         if state.num_points not in (None, total):
             raise ValueError(
                 f"snapshot manifest claims {state.num_points} points, arrays hold {total}"

@@ -254,3 +254,56 @@ def test_serve_online_rejects_sharded_backend(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["event"] == "error"
     assert "--online" in err["message"]
+
+
+def _process_alive(pid: int) -> bool:
+    """Whether ``pid`` is a running (not exited, not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    # The state letter follows the parenthesised command name.
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_serve_sigterm_closes_shard_workers(tmp_path):
+    snapshot = tmp_path / "workers.snapshot"
+    assert main(["build", str(snapshot), "--num-points", "2000",
+                 "--workload-queries", "20"]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(snapshot),
+         "--port", "0", "--quiet", "--shards", "2", "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+    )
+    workers = []
+    try:
+        deadline = time.time() + 60
+        while time.time() < deadline:
+            line = proc.stdout.readline()
+            if not line:
+                if proc.poll() is not None:
+                    break
+                continue
+            if json.loads(line).get("event") == "ready":
+                children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+                workers = [int(pid) for pid in children.read_text().split()]
+                break
+        assert len(workers) == 2, f"expected 2 shard workers, found {workers}"
+        proc.terminate()
+        proc.wait(timeout=30)
+        deadline = time.time() + 15
+        while time.time() < deadline and any(_process_alive(pid) for pid in workers):
+            time.sleep(0.05)
+        orphans = [pid for pid in workers if _process_alive(pid)]
+        assert not orphans, f"shard workers outlived SIGTERM: {orphans}"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
+        for pid in workers:
+            if _process_alive(pid):
+                os.kill(pid, 9)

@@ -127,6 +127,13 @@ class TestCorruptionIsNamed:
             check_index_invariants(wazi)
         assert exc.value.invariant in ("flat-cache-coherent", "leaf-boxes-tight")
 
+    @pytest.mark.parametrize("drift", [-1, 1])
+    def test_desynced_point_count(self, wazi, drift):
+        wazi._num_points = len(wazi) + drift
+        with pytest.raises(InvariantViolation) as exc:
+            check_index_invariants(wazi)
+        assert exc.value.invariant == "point-count"
+
     def test_writable_readonly_store_column(self, snapshot):
         index = load_snapshot(snapshot, mmap=True)
         # Forge a writeable column inside the read-only store.

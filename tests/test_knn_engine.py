@@ -16,6 +16,7 @@ from repro.api import INDEX_NAMES
 from repro.core import WaZI
 from repro.geometry import Point, Rect
 from repro.interfaces import SpatialIndex, brute_force_knn
+from repro.storage.leaflist import LeafList
 from repro.zindex import BaseZIndex
 
 #: Names of the indexes whose knn/batch_knn go through the columnar kernel.
@@ -211,3 +212,57 @@ class TestWaZIKnnProperties:
         k = data.draw(st.integers(min_value=1, max_value=len(points) + 2), label="k")
         assert index.knn(center, k) == SpatialIndex.knn(index, center, k)
         assert_knn_matches_oracle(index, points, center, k)
+
+
+def _forbidden_recount(self):
+    raise AssertionError("LeafList.num_points re-summed every leaf page")
+
+
+class TestNoPerRequestPointRecount:
+    """kNN and the service's point-count reads never re-sum the leaf pages.
+
+    ``len()`` of a Z-index is a maintained counter; a per-request path that
+    falls back to ``LeafList.num_points`` (an O(leaves) sum) fails here.
+    """
+
+    @pytest.fixture()
+    def engine(self, clustered_points, small_workload):
+        from repro.engine import SpatialEngine
+
+        return SpatialEngine.build(
+            "wazi", clustered_points, small_workload.queries, leaf_capacity=32, seed=1
+        )
+
+    def test_engine_and_batch_knn(self, engine, clustered_points, monkeypatch):
+        from repro.query import KnnQuery
+
+        monkeypatch.setattr(LeafList, "num_points", property(_forbidden_recount))
+        center = clustered_points[7]
+        assert engine.execute(KnnQuery(center, 5)).count() == 5
+        assert [r.count() for r in engine.index.batch_knn([center, center], 4)] == [4, 4]
+
+    def test_online_knn_quiet_and_merged(self, engine, clustered_points, monkeypatch):
+        from repro.online import OnlineIndex
+
+        online = OnlineIndex(engine.index)
+        monkeypatch.setattr(LeafList, "num_points", property(_forbidden_recount))
+        center = clustered_points[3]
+        assert online.knn(center, 6).count() == 6
+        online.insert(Point(center.x, center.y))
+        assert online.delete(clustered_points[4])
+        assert online.knn(center, 6).count() == 6
+        assert [r.count() for r in online.batch_knn([center], 3)] == [3]
+
+    def test_service_healthz_and_ingest(self, engine, clustered_points, monkeypatch):
+        from repro.online import MaintenancePolicy
+        from repro.service import SpatialService
+
+        engine.online(MaintenancePolicy(), start=False)
+        try:
+            service = SpatialService(engine, record=False)
+            monkeypatch.setattr(LeafList, "num_points", property(_forbidden_recount))
+            assert service.handle_healthz()["num_points"] == len(clustered_points)
+            body = service.handle_ingest({"insert": [[0.5, 0.5], [0.25, 0.75]]})
+            assert body["num_points"] == len(clustered_points) + 2
+        finally:
+            engine.offline()

@@ -4,6 +4,8 @@ write."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -290,3 +292,104 @@ class TestIncrementalAdapt:
         assert report.leaves_total > 0
         assert 0.0 <= report.scope <= 1.0
         assert_query_parity(online, points + [Point(0.07, 0.07)], queries)
+
+
+def _counter_delta(before, after):
+    return {key: after[key] - before[key] for key in before}
+
+
+def _distances(result, center):
+    xs, ys = result.as_arrays()
+    return ((xs - center.x) ** 2 + (ys - center.y) ** 2).tolist()
+
+
+class TestMergedKnnDifferential:
+    """The array-based merged kNN is the scalar decomposition, byte for byte."""
+
+    # An integer grid: duplicate points and tied distances are everywhere,
+    # and with integral initial radii some ties sit exactly on a window's
+    # radius (the ``<=`` boundary of the scalar ``within`` filter).
+    CENTERS = [Point(5.0, 5.0), Point(2.5, 7.5), Point(0.0, 0.0), Point(3.0, 4.5)]
+    KS = [1, 4, 9, 30, 700]  # 700 exceeds the point count: the capped, covering path
+    RADII = [None, 1.0, 2.0]
+
+    @pytest.fixture()
+    def grid_points(self):
+        rng = np.random.default_rng(31)
+        cells = rng.integers(0, 11, size=(600, 2))
+        return [Point(float(x), float(y)) for x, y in cells]
+
+    def assert_knn_differential(self, online, reference_points):
+        counters = online.counters
+        rebuilt = ZIndex(list(reference_points), leaf_capacity=32)
+        for k, radius in itertools.product(self.KS, self.RADII):
+            for center in self.CENTERS:
+                before = counters.snapshot()
+                got = online.knn(center, k, radius)
+                middle = counters.snapshot()
+                want = SpatialIndex.knn(online, center, k, radius)
+                after = counters.snapshot()
+                assert got.xs.tobytes() == want.xs.tobytes()
+                assert got.ys.tobytes() == want.ys.tobytes()
+                assert _counter_delta(before, middle) == _counter_delta(middle, after)
+                # Against an eager rebuild only the order among equal
+                # distances (and the pick at the k-th distance) may differ.
+                expected = rebuilt.knn(center, k, radius)
+                got_d = _distances(got, center)
+                assert got_d == _distances(expected, center)
+                inner = got_d[-1] if got_d else 0.0
+                inside = [p for p in got if p.distance_squared(center) < inner]
+                expected_inside = [p for p in expected if p.distance_squared(center) < inner]
+                assert canonical_points(inside) == canonical_points(expected_inside)
+            before = counters.snapshot()
+            batch = online.batch_knn(self.CENTERS, k, radius)
+            middle = counters.snapshot()
+            singles = [SpatialIndex.knn(online, center, k, radius) for center in self.CENTERS]
+            after = counters.snapshot()
+            for got, want in zip(batch, singles):
+                assert got.xs.tobytes() == want.xs.tobytes()
+                assert got.ys.tobytes() == want.ys.tobytes()
+            assert _counter_delta(before, middle) == _counter_delta(middle, after)
+
+    def test_live_delta_and_tombstones(self, grid_points):
+        online = OnlineIndex(ZIndex(list(grid_points), leaf_capacity=32))
+        reference = list(grid_points)
+        for x, y in [(5.0, 5.0), (5.0, 5.0), (2.0, 8.0), (17.0, -3.0)]:
+            online.insert(Point(x, y))
+            reference.append(Point(x, y))
+        for victim in grid_points[:40]:
+            assert online.delete(victim)
+            reference.remove(victim)
+        assert online.delta_stats()["tombstones"] > 0
+        self.assert_knn_differential(online, reference)
+
+    def test_frozen_view_during_compaction(self, grid_points, monkeypatch):
+        online = OnlineIndex(ZIndex(list(grid_points), leaf_capacity=32))
+        reference = list(grid_points)
+        for x, y in [(5.0, 5.0), (3.0, 4.0), (3.0, 5.0)]:
+            online.insert(Point(x, y))
+            reference.append(Point(x, y))
+        for victim in grid_points[:25]:
+            assert online.delete(victim)
+            reference.remove(victim)
+        original = OnlineIndex._merge_into_clone
+        checked = []
+
+        def merge_while_checking(base_state, frozen):
+            # Runs outside the lock with the frozen view installed: add
+            # active-delta writes on top, then check all three layers.
+            assert online.delta_stats()["compacting"]
+            for x, y in [(5.0, 5.0), (6.0, 4.0)]:
+                online.insert(Point(x, y))
+                reference.append(Point(x, y))
+            for victim in grid_points[25:40]:
+                assert online.delete(victim)
+                reference.remove(victim)
+            self.assert_knn_differential(online, reference)
+            checked.append(True)
+            return original(base_state, frozen)
+
+        monkeypatch.setattr(OnlineIndex, "_merge_into_clone", staticmethod(merge_while_checking))
+        assert online.compact() is not None
+        assert checked
+        self.assert_knn_differential(online, reference)

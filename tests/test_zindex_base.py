@@ -1,9 +1,17 @@
 """Unit and integration tests for the base Z-index structure."""
 
+import pickle
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Rect
 from repro.interfaces import brute_force_range
+from repro.online import OnlineIndex
+from repro.persistence import load_snapshot, save_snapshot
 from repro.zindex import BaseZIndex, ZIndex, MidpointSplitStrategy
 
 
@@ -214,3 +222,94 @@ class TestCustomStrategy:
         expected = {(p.x, p.y) for p in brute_force_knn(uniform_points, center, 5)}
         got = {(p.x, p.y) for p in index.knn(center, 5)}
         assert got == expected
+
+
+# Coarse grid coordinates make duplicates and delete hits common; the wide
+# range lands outside the current extent (the insert rebuild path).
+grid = st.integers(min_value=0, max_value=6).map(float)
+wide = st.integers(min_value=-40, max_value=40).map(float)
+
+count_ops = st.one_of(
+    st.tuples(st.just("insert"), grid, grid),
+    st.tuples(st.just("insert"), wide, wide),
+    st.tuples(st.just("delete"), grid, grid),
+    st.tuples(st.just("rederive"), st.integers(min_value=-1, max_value=3)),
+    st.tuples(st.just("compact"), wide, wide, grid, grid),
+    st.tuples(st.sampled_from(["snapshot", "snapshot_mmap", "legacy_pickle", "adapt"])),
+)
+
+
+class TestPointCountMaintenance:
+    """``len()`` is a maintained counter: it must track the pages exactly."""
+
+    @staticmethod
+    def _step(index, op, model, workdir):
+        kind = op[0]
+        if kind == "insert":
+            point = Point(op[1], op[2])
+            index.insert(point)
+            model[point] += 1
+        elif kind == "delete":
+            point = Point(op[1], op[2])
+            assert index.delete(point) == (model[point] > 0)
+            model[point] -= 1 if model[point] else 0
+        elif kind == "rederive" and index.root is not None:
+            quadrant = op[1]
+            if quadrant < 0 or index.root.is_leaf or index.root.children[quadrant] is None:
+                index.rederive_subtree(index.root, None, -1, leaf_capacity=2)
+            else:
+                index.rederive_subtree(
+                    index.root.children[quadrant], index.root, quadrant, leaf_capacity=2
+                )
+        elif kind == "compact":
+            online = OnlineIndex(index)
+            fresh, victim = Point(op[1], op[2]), Point(op[3], op[4])
+            online.insert(fresh)
+            model[fresh] += 1
+            if online.delete(victim):
+                model[victim] -= 1
+            online.compact()
+            index = online.base
+        elif kind == "adapt":
+            online = OnlineIndex(index)
+            online.incremental_adapt([Rect(0.0, 0.0, 3.0, 3.0)], hot_factor=0.0)
+            index = online.base
+        elif kind == "snapshot":
+            index = ZIndex.from_snapshot_state(index.snapshot_state())
+        elif kind == "snapshot_mmap":
+            path = Path(workdir) / f"{len(list(Path(workdir).iterdir()))}.snapshot"
+            save_snapshot(index, path)
+            index = load_snapshot(path, mmap=True)
+        elif kind == "legacy_pickle":
+            # A pickle from before the maintained count existed.
+            vars(index).pop("_num_points", None)
+            index = pickle.loads(pickle.dumps(index))
+            assert "_num_points" not in vars(index)
+        return index
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        initial=st.lists(st.tuples(grid, grid), max_size=24),
+        ops=st.lists(count_ops, max_size=30),
+    )
+    def test_len_tracks_pages_through_every_mutation(self, initial, ops):
+        model = Counter(Point(x, y) for x, y in initial)
+        index = BaseZIndex(list(model.elements()), leaf_capacity=4)
+        with tempfile.TemporaryDirectory() as workdir:
+            for op in ops:
+                index = self._step(index, op, model, workdir)
+                assert len(index) == sum(len(e.page) for e in index.leaflist)
+                assert len(index) == sum(model.values())
+                assert Counter(index.all_points()) == +model
+
+    def test_delete_duplicate_after_snapshot_load_keeps_the_other_copy(self):
+        """Deleting from a loaded index (unmaterialised point list) removes
+        exactly one copy, and a later rebuild keeps the remaining one."""
+        index = BaseZIndex([Point(1, 1), Point(1, 1), Point(2, 2), Point(3, 3)], leaf_capacity=2)
+        loaded = ZIndex.from_snapshot_state(index.snapshot_state())
+        assert loaded.delete(Point(1, 1))
+        loaded.insert(Point(10, 10))  # outside the extent: full rebuild
+        assert Counter(loaded.all_points()) == Counter(
+            [Point(1, 1), Point(2, 2), Point(3, 3), Point(10, 10)]
+        )
+        assert len(loaded) == 4
